@@ -9,10 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "metrics/timeline.h"
 #include "npu/npu_core.h"
 #include "sched/op_scheduler.h"
+#include "sched/scheduler_factory.h"
+#include "sim/fault_plan.h"
 #include "sim/simulator.h"
+#include "v10/experiment.h"
 #include "workload/model_zoo.h"
 #include "workload/trace_io.h"
 #include "workload/workload.h"
@@ -89,11 +94,121 @@ dispatchSequence(OperatorScheduler::Variant variant)
 
 TEST(GoldenSchedule, SequenceIsStableAcrossRuns)
 {
-    const std::string a =
-        dispatchSequence(OperatorScheduler::Variant::Full);
-    const std::string b =
-        dispatchSequence(OperatorScheduler::Variant::Full);
-    EXPECT_EQ(a, b);
+    // Literal expectations, so the sequence is pinned across builds
+    // and engine changes, not only across two runs of one binary.
+    EXPECT_EQ(dispatchSequence(OperatorScheduler::Variant::Base),
+              "sa0:BERT@32:S0@3\n"
+              "sa0:DLRM@32:S0@50003\n"
+              "vu0:BERT@32:V1@50003\n"
+              "sa0:BERT@32:S0@54003\n"
+              "vu0:DLRM@32:V1@54003\n"
+              "sa0:DLRM@32:S0@104003\n"
+              "vu0:BERT@32:V1@104003\n"
+              "sa0:BERT@32:S0@108003!\n"
+              "vu0:DLRM@32:V1@108003\n"
+              "total=9 preempts=1");
+    EXPECT_EQ(dispatchSequence(OperatorScheduler::Variant::Full),
+              "sa0:BERT@32:S0@3!\n"
+              "sa0:DLRM@32:S0@32768\n"
+              "sa0:BERT@32:S0@35152\n"
+              "vu0:DLRM@32:V1@35152\n"
+              "sa0:DLRM@32:S0@55152\n"
+              "vu0:BERT@32:V1@55152\n"
+              "sa0:BERT@32:S0@59152!\n"
+              "vu0:DLRM@32:V1@59152\n"
+              "sa0:DLRM@32:S0@98304\n"
+              "sa0:BERT@32:S0@100688\n"
+              "vu0:DLRM@32:V1@100688\n"
+              "sa0:DLRM@32:S0@120688\n"
+              "total=15 preempts=4");
+}
+
+/**
+ * One MNST+NCF pair under @p kind with a fixed runaway fault plan,
+ * reduced to integers only: events fired, final cycle, preemptions,
+ * and per-tenant completed requests and SA/VU busy cycles. Any
+ * change to the engine's (cycle, insertion) event order moves these.
+ */
+std::string
+faultedPairDigest(SchedulerKind kind)
+{
+    const Result<FaultPlan> plan =
+        FaultPlan::parse("runaway:rate=0.1:mag=4");
+    if (!plan.ok())
+        return "bad plan";
+    ExperimentRunner runner{NpuConfig{}};
+    std::vector<TenantSpec> specs;
+    for (const char *model : {"MNST", "NCF"})
+        specs.push_back(TenantSpec{
+            &runner.workload(model, runner.resolveBatch(model, 0)),
+            1.0});
+
+    SchedulerOptions options;
+    options.resilience.faults = &plan.value();
+    options.resilience.faultSeed = 7;
+    Simulator sim;
+    NpuCore core(sim, runner.config(), 2, reservesSaContexts(kind));
+    auto sched = makeScheduler(kind, sim, core, std::move(specs),
+                               options);
+    sched->setResilience(options.resilience);
+    const RunStats stats = sched->run(4, 1);
+
+    std::uint64_t preemptions = 0;
+    std::ostringstream os;
+    os << "events=" << sim.eventsRun() << " now=" << sim.now();
+    for (const WorkloadRunStats &w : stats.workloads) {
+        preemptions += w.preemptions;
+        os << " | req=" << w.requests << " sa=" << w.saComputeCycles
+           << " vu=" << w.vuComputeCycles;
+    }
+    os << " | preempts=" << preemptions
+       << " faults=" << stats.faultsInjected;
+    return os.str();
+}
+
+TEST(GoldenSchedule, FaultedPairPmt)
+{
+    EXPECT_EQ(faultedPairDigest(SchedulerKind::Pmt),
+              "events=2635 now=33645981"
+              " | req=7 sa=6809333 vu=5048253"
+              " | req=4 sa=2408000 vu=9302130"
+              " | preempts=24 faults=87");
+}
+
+TEST(GoldenSchedule, FaultedPairV10Base)
+{
+    EXPECT_EQ(faultedPairDigest(SchedulerKind::V10Base),
+              "events=2681 now=26659392"
+              " | req=11 sa=10760554 vu=7857945"
+              " | req=4 sa=2408000 vu=9571302"
+              " | preempts=0 faults=93");
+}
+
+TEST(GoldenSchedule, FaultedPairV10Fair)
+{
+    EXPECT_EQ(faultedPairDigest(SchedulerKind::V10Fair),
+              "events=2681 now=26659392"
+              " | req=11 sa=10760554 vu=7857945"
+              " | req=4 sa=2408000 vu=9571302"
+              " | preempts=0 faults=93");
+}
+
+TEST(GoldenSchedule, FaultedPairV10Full)
+{
+    EXPECT_EQ(faultedPairDigest(SchedulerKind::V10Full),
+              "events=3350 now=25599209"
+              " | req=8 sa=7341207 vu=6174162"
+              " | req=4 sa=4214000 vu=9314145"
+              " | preempts=311 faults=87");
+}
+
+TEST(GoldenSchedule, FaultedPairPrema)
+{
+    EXPECT_EQ(faultedPairDigest(SchedulerKind::Prema),
+              "events=2761 now=36003820"
+              " | req=8 sa=8341818 vu=5314676"
+              " | req=4 sa=3476171 vu=9134157"
+              " | preempts=14 faults=87");
 }
 
 TEST(GoldenSchedule, VariantsProduceDistinctSchedules)
