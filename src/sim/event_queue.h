@@ -82,28 +82,11 @@ class V10_DOMAIN_LOCAL EventQueue
     EventId
     schedule(Cycles when, F &&cb)
     {
-        return scheduleSeq(when, next_seq_++, std::forward<F>(cb));
-    }
-
-    /**
-     * Schedule @p cb at @p when with a caller-supplied sequence
-     * number. The domain-partitioned Simulator stamps one global
-     * (epoch, domain-rank, local) key across all of its per-domain
-     * queues so the cross-queue merge is a total order; standalone
-     * queues should use schedule() instead. Sequence numbers must be
-     * monotonically non-decreasing per queue — the ring/heap tie
-     * rule (heap entries at a cycle predate ring entries at it)
-     * depends on it.
-     */
-    template <typename F>
-    EventId
-    scheduleSeq(Cycles when, std::uint64_t seq, F &&cb)
-    {
         if constexpr (std::is_same_v<std::decay_t<F>, EventFn>)
-            return scheduleFn(when, seq, std::forward<F>(cb));
+            return scheduleFn(when, std::forward<F>(cb));
         else
-            return scheduleFn(
-                when, seq, EventFn(std::forward<F>(cb), arena_));
+            return scheduleFn(when,
+                              EventFn(std::forward<F>(cb), arena_));
     }
 
     /**
@@ -120,21 +103,6 @@ class V10_DOMAIN_LOCAL EventQueue
 
     /** Cycle of the earliest live event; kCycleMax when empty. */
     Cycles nextCycle() const;
-
-    /** Merge key of the earliest live event: its (cycle, seq). */
-    struct NextKey
-    {
-        Cycles when;
-        std::uint64_t seq;
-    };
-
-    /**
-     * Peek the earliest live event's (cycle, seq) without popping —
-     * the multi-queue merge loop compares these keys across domains
-     * to pick the globally next event. Returns
-     * {kCycleMax, ~0ULL} when empty.
-     */
-    NextKey nextKey() const;
 
     /**
      * Pop and run the earliest live event.
@@ -154,15 +122,10 @@ class V10_DOMAIN_LOCAL EventQueue
     /**
      * Drain every event at exactly @p when in (cycle, seq) order,
      * including events scheduled at @p when by the callbacks
-     * themselves. When @p interrupt is non-null it is re-checked
-     * after every fired callback and the drain stops early once it
-     * reads true — the domain-merged run loop uses this to fall back
-     * to per-event interleaving when a callback schedules a
-     * same-cycle event into another domain's queue.
+     * themselves.
      * @return the number of events fired.
      */
-    std::uint64_t runCycle(Cycles when,
-                           const bool *interrupt = nullptr);
+    std::uint64_t runCycle(Cycles when);
 
     /** Drop all pending events. */
     void clear();
@@ -212,7 +175,7 @@ class V10_DOMAIN_LOCAL EventQueue
     /** Min-heap ordering on (when, seq). */
     static bool later(const Entry &a, const Entry &b);
 
-    EventId scheduleFn(Cycles when, std::uint64_t seq, EventFn fn);
+    EventId scheduleFn(Cycles when, EventFn fn);
 
     /** True when @p when belongs in the ring window. */
     bool

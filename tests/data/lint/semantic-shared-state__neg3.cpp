@@ -1,8 +1,8 @@
 // fixture-path: src/sim/lane_stats.h
 // fixture-expect: 0
-// The annotated twin of pos4: the lane counter written from a
-// domain-scheduled event callback carries V10_SHARED_STATE, so the
-// domain-partitioned engine's ownership contract is explicit.
+// The annotated twin of pos4: the counter written from an event
+// callback carries V10_SHARED_STATE, so its ownership contract is
+// explicit.
 
 class LaneStats
 {
@@ -10,8 +10,7 @@ class LaneStats
     void
     arm()
     {
-        sim_.at(SimDomain::DmaHbm, 64,
-                [this] { drained_ = drained_ + 1; });
+        sim_.at(64, [this] { drained_ = drained_ + 1; });
     }
 
   private:

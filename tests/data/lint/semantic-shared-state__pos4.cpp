@@ -1,11 +1,9 @@
 // fixture-path: src/sim/lane_stats.h
 // fixture-expect: 1
-// A domain-partitioned engine lane leaking unannotated mutable
-// state: the per-lane counter is written from an event callback
-// scheduled into a specific SimDomain, so during parallel windows
-// the write happens on a worker thread — without a V10_SHARED_STATE
-// or V10_DOMAIN_LOCAL annotation the refactor cannot prove which
-// thread owns it.
+// An engine-side counter leaking unannotated mutable state: it is
+// written from an event callback, so without a V10_SHARED_STATE or
+// V10_DOMAIN_LOCAL annotation nothing states which simulation owns
+// it.
 
 class LaneStats
 {
@@ -13,8 +11,7 @@ class LaneStats
     void
     arm()
     {
-        sim_.at(SimDomain::DmaHbm, 64,
-                [this] { drained_ = drained_ + 1; });
+        sim_.at(64, [this] { drained_ = drained_ + 1; });
     }
 
   private:

@@ -156,70 +156,6 @@ TEST(Cli, UsageErrorsExitWithCode2)
               2);
 }
 
-TEST(Cli, EngineJobsFlagParsesStrictly)
-{
-    // --engine-jobs takes a positive integer or 'auto'; zero,
-    // negatives, trailing garbage, and empty values are usage
-    // errors (exit 2), not silent fallbacks to serial. Note 0 is
-    // NOT a synonym for auto here, unlike --jobs: serial is the
-    // default, so asking for "0 engine jobs" is a mistake.
-    EXPECT_EQ(runCli("run --models MNST,NCF --requests 2 "
-                     "--engine-jobs 0")
-                  .first,
-              2);
-    EXPECT_EQ(runCli("run --models MNST,NCF --requests 2 "
-                     "--engine-jobs -3")
-                  .first,
-              2);
-    EXPECT_EQ(runCli("run --models MNST,NCF --requests 2 "
-                     "--engine-jobs 4x")
-                  .first,
-              2);
-    EXPECT_EQ(runCli("run --models MNST,NCF --requests 2 "
-                     "--engine-jobs")
-                  .first,
-              2);
-    EXPECT_EQ(runCli("report --engine-jobs 0").first, 2);
-    // Positive controls: explicit job counts and 'auto' run fine.
-    EXPECT_EQ(runCli("run --models MNST,NCF --requests 2 "
-                     "--engine-jobs 2")
-                  .first,
-              0);
-    EXPECT_EQ(runCli("run --models MNST,NCF --requests 2 "
-                     "--engine-jobs auto")
-                  .first,
-              0);
-}
-
-TEST(Cli, EngineJobsRunsAreByteIdentical)
-{
-    // The domain-partitioned engine is deterministic by
-    // construction: the same run emits byte-identical stats JSON
-    // for any --engine-jobs value, faults included.
-    const std::string base =
-        "run --models MNST,NCF --requests 4 "
-        "--faults runaway:rate=0.2:mag=4 --fault-seed 11 "
-        "--stats-json ";
-    std::string ref;
-    for (const char *jobs : {"1", "2", "4", "8"}) {
-        const std::string path = ::testing::TempDir() +
-                                 "/cli_ej_" + jobs + ".json";
-        const auto [rc, out] = runCli(base + path +
-                                      " --engine-jobs " + jobs);
-        EXPECT_EQ(rc, 0) << out;
-        const std::string got = stripWallSeconds(readFile(path));
-        if (ref.empty())
-            ref = got;
-        else
-            EXPECT_EQ(got, ref) << "--engine-jobs " << jobs;
-    }
-    // ...and identical to the default serial run.
-    const std::string path =
-        ::testing::TempDir() + "/cli_ej_serial.json";
-    EXPECT_EQ(runCli(base + path).first, 0);
-    EXPECT_EQ(stripWallSeconds(readFile(path)), ref);
-}
-
 TEST(Cli, FaultRunCompletesAndReportsInjections)
 {
     const auto [rc, out] = runCli(

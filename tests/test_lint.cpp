@@ -7,6 +7,7 @@
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
@@ -31,6 +32,21 @@ namespace v10::analysis {
 namespace {
 
 namespace fs = std::filesystem;
+
+/**
+ * A temp path private to the running test and process: ctest runs
+ * each test in its own process, possibly in parallel, so a fixed name
+ * would let one test's cleanup delete another's files.
+ */
+fs::path
+uniqueTempPath(const std::string &stem)
+{
+    const ::testing::TestInfo *info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    return fs::temp_directory_path() /
+           (std::string(info->test_suite_name()) + "." + info->name() +
+            "." + std::to_string(::getpid()) + "." + stem);
+}
 
 /** A parsed tests/data/lint fixture. */
 struct Fixture
@@ -314,8 +330,7 @@ TEST(LintBaseline, JsonRoundTrip)
     Baseline baseline = Baseline::fromFindings(fresh.findings);
     baseline.entries[0].note = "kept on purpose";
 
-    const fs::path tmp =
-        fs::temp_directory_path() / "v10lint_baseline_test.json";
+    const fs::path tmp = uniqueTempPath("v10lint_baseline_test.json");
     ASSERT_TRUE(baseline.save(tmp.string()).isOk());
     auto loaded_or = Baseline::load(tmp.string());
     fs::remove(tmp);
@@ -507,7 +522,7 @@ class LintCache : public ::testing::Test
     void
     SetUp() override
     {
-        root_ = fs::temp_directory_path() / "v10lint_cache_test";
+        root_ = uniqueTempPath("v10lint_cache_test");
         fs::remove_all(root_);
         fs::create_directories(root_ / "src" / "npu");
         writeSource("#include <cstdlib>\n"

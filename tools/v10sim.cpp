@@ -163,29 +163,6 @@ struct Args
                                  get("jobs", "1"))
                            : 1;
     }
-
-    /**
-     * --engine-jobs N | auto (default 0 = serial merged engine).
-     * Strict like every other numeric flag: zero, negatives, and
-     * trailing garbage are usage errors (exit 2). Unlike --jobs
-     * (sweep fan-out), this sizes the in-run domain worker pool, so
-     * 0 is not "auto" — it means the windowed engine is off.
-     */
-    std::size_t
-    engineJobs() const
-    {
-        if (!has("engine-jobs"))
-            return 0;
-        const std::string raw = get("engine-jobs", "");
-        if (raw == "auto")
-            return ParallelExecutor::hardwareJobs();
-        const auto v = parseUint64(raw);
-        if (!v || *v == 0)
-            usageError("--engine-jobs expects a positive integer "
-                       "or 'auto', got '",
-                       raw, "'");
-        return static_cast<std::size_t>(*v);
-    }
 };
 
 /** One element of a comma-separated numeric list flag. */
@@ -487,7 +464,6 @@ cmdRun(const Args &args)
         resilienceFromArgs(args, plan);
 
     MultiTenantNpu npu(configFromArgs(args), kind);
-    npu.setEngineJobs(args.engineJobs());
     for (std::size_t i = 0; i < models.size(); ++i) {
         const double prio =
             i < priorities.size()
@@ -558,7 +534,6 @@ cmdRun(const Args &args)
         so.requestTracer = tracer.get();
         so.attribution = attribution.get();
         so.flightRecorder = flight.get();
-        so.engineJobs = args.engineJobs();
         stats = runner.run(kind, tenants, requests, 2, so);
         if (tracer)
             writeTraceOut(args, *tracer);
@@ -655,7 +630,6 @@ cmdReport(const Args &args)
     options.config = configFromArgs(args);
     options.requests = args.getUint("requests", "25");
     options.jobs = args.jobs();
-    options.engineJobs = args.engineJobs();
     options.statsJsonPath = args.get("stats-json", "");
     const std::string out = args.get("out", "report.md");
     std::printf("running the headline evaluation (%llu requests "
@@ -1120,7 +1094,7 @@ usage()
         "             [--stats-json out.json] [--sample-interval "
         "cycles] [--samples-csv out.csv]\n"
         "             [--trace-out spans.jsonl] [--trace-sample "
-        "1/N] [--engine-jobs N|auto]\n"
+        "1/N]\n"
         "  v10sim advise --models BERT,NCF,RsNt,DLRM [--cores 4] "
         "[--jobs N] [--stats-json out.json]\n"
         "  v10sim serve [--tenants 100] [--cores 16] "
@@ -1151,8 +1125,7 @@ usage()
         "  v10sim trace --model DLRM [--batch 32] [--out file]\n"
         "  v10sim gen-traces [--out dir]   (all Table 4 traces)\n"
         "  v10sim report [--out report.md] [--requests N] "
-        "[--jobs N|auto] [--engine-jobs N|auto] "
-        "[--stats-json out.json]\n"
+        "[--jobs N|auto] [--stats-json out.json]\n"
         "  v10sim validate --trace file [--fault-plan plan.json] "
         "[--faults spec]\n\n"
         "Global options:\n"
