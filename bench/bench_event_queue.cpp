@@ -1,8 +1,8 @@
 /**
  * @file
- * Focused microbenchmarks of the hybrid calendar event queue: ring
- * hits, heap overflow, mixed horizons, cancellation churn, batched
- * same-cycle dispatch, closure-size effects on SmallFn storage, and
+ * Focused microbenchmarks of the binary-heap event queue: near and
+ * far scheduling deltas, mixed horizons, cancellation churn,
+ * same-cycle bursts, closure-size effects on SmallFn storage, and
  * periodic (every()) ticking. Run with --perf-json=<path> to emit
  * the machine-readable summary the CI perf-smoke job checks.
  */
@@ -21,6 +21,10 @@ namespace {
 
 using namespace v10;
 
+/** Delta scale splitting near from far events: ~90% of the paper
+ * pair workloads' scheduling deltas fall below 2^15 cycles. */
+constexpr Cycles kRing = 32768;
+
 /** Self-perpetuating chain with a fixed delta. */
 struct FixedChain
 {
@@ -37,7 +41,7 @@ struct FixedChain
     }
 };
 
-/** Schedule/fire chains whose deltas always hit the ring window. */
+/** Schedule/fire chains with a fixed near delta. */
 void
 BM_RingScheduleFire(benchmark::State &state)
 {
@@ -56,11 +60,11 @@ BM_RingScheduleFire(benchmark::State &state)
 }
 BENCHMARK(BM_RingScheduleFire);
 
-/** Chains whose deltas always overflow to the min-heap. */
+/** Chains with a fixed far delta (the long-compute tail). */
 void
 BM_HeapScheduleFire(benchmark::State &state)
 {
-    constexpr Cycles kFar = EventQueue::kRingBuckets * 4;
+    constexpr Cycles kFar = kRing * 4;
     std::uint64_t events = 0;
     for (auto _ : state) {
         Simulator sim;
@@ -76,7 +80,7 @@ BM_HeapScheduleFire(benchmark::State &state)
 }
 BENCHMARK(BM_HeapScheduleFire);
 
-/** 90% ring / 10% heap — the measured workload split. */
+/** 90% near / 10% far deltas — the measured workload split. */
 void
 BM_MixedHorizonScheduleFire(benchmark::State &state)
 {
@@ -98,7 +102,7 @@ BM_MixedHorizonScheduleFire(benchmark::State &state)
                 --*budget;
                 const bool far = (rng->next() % 10) == 0;
                 const Cycles delta =
-                    far ? EventQueue::kRingBuckets + 4093 : 1021;
+                    far ? kRing + 4093 : 1021;
                 sim->after(delta, MixChain{*this});
             }
         };
@@ -152,7 +156,7 @@ BM_CancelRescheduleChurn(benchmark::State &state)
 }
 BENCHMARK(BM_CancelRescheduleChurn);
 
-/** Bursts of same-cycle events — the batched dispatch path. */
+/** Bursts of same-cycle events, all scheduled up front. */
 void
 BM_SameCycleBurst(benchmark::State &state)
 {

@@ -59,7 +59,6 @@ Simulator::cancelEvery(PeriodicId id)
 bool
 Simulator::step()
 {
-    // Single-pass peek-and-pop: one queue scan per event.
     EventQueue::EventFn fn;
     const Cycles next = queue_.takeNext(fn);
     if (next == kCycleMax)
@@ -79,12 +78,7 @@ Simulator::run()
 Cycles
 Simulator::runUntil(Cycles limit)
 {
-    while (true) {
-        const Cycles next = queue_.nextCycle();
-        if (next == kCycleMax || next > limit)
-            break;
-        now_ = next;
-        events_run_ += queue_.runCycle(next);
+    while (queue_.nextCycle() <= limit && step()) {
     }
     if (now_ < limit && limit != kCycleMax)
         now_ = limit;

@@ -13,9 +13,8 @@
  *
  * Scheduling is allocation-free for the common small closure: at() /
  * after() / every() wrap the callback in the queue's SmallFn-based
- * EventFn directly. run() and runUntil() drain all events of a cycle
- * in one batched pass; the per-event order is identical to
- * single-stepping, so results are bit-identical either way.
+ * EventFn directly. run() and runUntil() are step() loops, so every
+ * event fires through the same path.
  */
 
 #ifndef V10_SIM_SIMULATOR_H

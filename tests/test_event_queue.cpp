@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -13,13 +14,24 @@
 namespace v10 {
 namespace {
 
+/** Pop and run the earliest live event; its cycle, or kCycleMax. */
+Cycles
+popAndRun(EventQueue &q)
+{
+    EventQueue::EventFn fn;
+    const Cycles when = q.takeNext(fn);
+    if (when != kCycleMax)
+        fn();
+    return when;
+}
+
 TEST(EventQueue, EmptyByDefault)
 {
     EventQueue q;
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.size(), 0u);
     EXPECT_EQ(q.nextCycle(), kCycleMax);
-    EXPECT_EQ(q.popAndRun(), kCycleMax);
+    EXPECT_EQ(popAndRun(q), kCycleMax);
 }
 
 TEST(EventQueue, FiresInCycleOrder)
@@ -30,7 +42,7 @@ TEST(EventQueue, FiresInCycleOrder)
     q.schedule(10, [&] { order.push_back(1); });
     q.schedule(20, [&] { order.push_back(2); });
     while (!q.empty())
-        q.popAndRun();
+        popAndRun(q);
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -41,7 +53,7 @@ TEST(EventQueue, TiesFireInInsertionOrder)
     for (int i = 0; i < 16; ++i)
         q.schedule(5, [&order, i] { order.push_back(i); });
     while (!q.empty())
-        q.popAndRun();
+        popAndRun(q);
     for (int i = 0; i < 16; ++i)
         EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
@@ -51,7 +63,7 @@ TEST(EventQueue, PopReturnsFiringCycle)
     EventQueue q;
     q.schedule(42, [] {});
     EXPECT_EQ(q.nextCycle(), 42u);
-    EXPECT_EQ(q.popAndRun(), 42u);
+    EXPECT_EQ(popAndRun(q), 42u);
     EXPECT_TRUE(q.empty());
 }
 
@@ -64,7 +76,7 @@ TEST(EventQueue, CancelPreventsFiring)
     q.cancel(id);
     EXPECT_EQ(q.size(), 1u);
     while (!q.empty())
-        q.popAndRun();
+        popAndRun(q);
     EXPECT_FALSE(fired);
 }
 
@@ -90,7 +102,7 @@ TEST(EventQueue, CancelAfterFireIsHarmless)
 {
     EventQueue q;
     const EventId id = q.schedule(3, [] {});
-    q.popAndRun();
+    popAndRun(q);
     q.cancel(id);
     EXPECT_TRUE(q.empty());
 }
@@ -112,7 +124,7 @@ TEST(EventQueue, ClearDropsEverything)
     q.schedule(2, [&] { fired = true; });
     q.clear();
     EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.popAndRun(), kCycleMax);
+    EXPECT_EQ(popAndRun(q), kCycleMax);
     EXPECT_FALSE(fired);
     q.cancel(id); // stale handle after clear: harmless
 }
@@ -126,7 +138,7 @@ TEST(EventQueue, EventsCanScheduleMoreEvents)
         q.schedule(2, [&] { fired.push_back(2); });
     });
     while (!q.empty())
-        q.popAndRun();
+        popAndRun(q);
     EXPECT_EQ(fired, (std::vector<Cycles>{1, 2}));
 }
 
@@ -141,14 +153,15 @@ TEST(EventQueue, ManyEventsStressOrdering)
         const Cycles c = q.nextCycle();
         monotonic = monotonic && c >= last;
         last = c;
-        q.popAndRun();
+        popAndRun(q);
     }
     EXPECT_TRUE(monotonic);
 }
 
-// A cycle beyond the near-horizon ring window lands in the overflow
-// heap; one inside it lands in the ring.
-constexpr Cycles kFar = EventQueue::kRingBuckets + 8192;
+// Far deltas (past 2^15 cycles, the long-compute tail of real runs)
+// must order exactly like near ones.
+constexpr Cycles kRing = 32768;
+constexpr Cycles kFar = kRing + 8192;
 
 TEST(EventQueue, CancelOfHeapTopSkipsToNext)
 {
@@ -159,7 +172,7 @@ TEST(EventQueue, CancelOfHeapTopSkipsToNext)
     q.cancel(top);
     EXPECT_EQ(q.nextCycle(), kFar + 100);
     while (!q.empty())
-        q.popAndRun();
+        popAndRun(q);
     EXPECT_FALSE(fired);
 }
 
@@ -167,18 +180,18 @@ TEST(EventQueue, SameCycleFifoAcrossRingHeapBoundary)
 {
     EventQueue q;
     std::vector<int> order;
-    // Scheduled while kFar is beyond the window: overflow heap.
+    // Scheduled while kFar is a far delta away.
     q.schedule(kFar, [&] { order.push_back(1); });
     q.schedule(kFar, [&] { order.push_back(2); });
-    // Advancing past this event pulls kFar into the ring window.
+    // Advancing the clock makes kFar a near delta.
     q.schedule(8192, [&] { order.push_back(0); });
-    q.popAndRun();
-    // Same cycle again, now ring-resident: must fire AFTER the heap
-    // entries (they were inserted first).
+    popAndRun(q);
+    // Same cycle again, scheduled later: must fire AFTER the first
+    // two (they were inserted first).
     q.schedule(kFar, [&] { order.push_back(3); });
     q.schedule(kFar, [&] { order.push_back(4); });
     while (!q.empty())
-        q.popAndRun();
+        popAndRun(q);
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
@@ -194,23 +207,9 @@ TEST(EventQueue, ClearFromInsideCallbackStopsPop)
     q.schedule(6, [&] { ++fired; });
     q.schedule(kFar, [&] { ++fired; });
     while (!q.empty())
-        q.popAndRun();
+        popAndRun(q);
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(q.nextCycle(), kCycleMax);
-}
-
-TEST(EventQueue, ClearFromInsideCallbackStopsRunCycle)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(5, [&] {
-        ++fired;
-        q.clear();
-    });
-    q.schedule(5, [&] { ++fired; });
-    EXPECT_EQ(q.runCycle(5), 1u);
-    EXPECT_EQ(fired, 1);
-    EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, ScheduleAtCurrentCycleFromCallbackFiresSameCycle)
@@ -221,7 +220,10 @@ TEST(EventQueue, ScheduleAtCurrentCycleFromCallbackFiresSameCycle)
         order.push_back(1);
         q.schedule(7, [&] { order.push_back(2); });
     });
-    EXPECT_EQ(q.runCycle(7), 2u);
+    EXPECT_EQ(popAndRun(q), 7u);
+    EXPECT_EQ(q.nextCycle(), 7u);
+    EXPECT_EQ(popAndRun(q), 7u);
+    EXPECT_TRUE(q.empty());
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
@@ -229,11 +231,11 @@ TEST(EventQueue, RingWrapAroundKeepsOrder)
 {
     EventQueue q;
     std::vector<Cycles> fired;
-    // Advance the window start so later buckets wrap modulo the ring
-    // size, then schedule across the wrap point.
-    q.schedule(EventQueue::kRingBuckets - 100, [] {});
-    q.popAndRun();
-    const Cycles base = EventQueue::kRingBuckets - 100;
+    // Advance the clock to just below 2^15, then schedule deltas
+    // that straddle every multiple of 2^15 up to the far horizon.
+    q.schedule(kRing - 100, [] {});
+    popAndRun(q);
+    const Cycles base = kRing - 100;
     std::vector<Cycles> expect;
     for (Cycles d = 50; d <= 30000; d += 4111) {
         q.schedule(base + d,
@@ -241,7 +243,7 @@ TEST(EventQueue, RingWrapAroundKeepsOrder)
         expect.push_back(base + d);
     }
     while (!q.empty())
-        q.popAndRun();
+        popAndRun(q);
     EXPECT_EQ(fired, expect);
 }
 
@@ -252,7 +254,7 @@ TEST(EventQueue, SlotTableBoundedByLiveEvents)
     // table must recycle instead of growing with the total count.
     for (Cycles i = 0; i < 100000; ++i) {
         q.schedule(i + 1, [] {});
-        q.popAndRun();
+        popAndRun(q);
     }
     EXPECT_LE(q.slotCount(), 4u);
     // Same for schedule-and-cancel churn.
@@ -270,8 +272,21 @@ TEST(EventQueue, CancelRingEntryBetweenLiveOnes)
     q.schedule(9, [&] { order.push_back(3); });
     q.cancel(mid);
     while (!q.empty())
-        q.popAndRun();
+        popAndRun(q);
     EXPECT_EQ(order, (std::vector<int>{1, 3}));
+}
+
+TEST(EventQueue, CancelDestroysClosureAtOnce)
+{
+    EventQueue q;
+    auto token = std::make_shared<int>(0);
+    const EventId id = q.schedule(kFar, [token] { ++*token; });
+    q.schedule(1, [] {});
+    EXPECT_EQ(token.use_count(), 2);
+    q.cancel(id); // not at the heap top, so its key stays behind
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(popAndRun(q), 1u);
+    EXPECT_EQ(popAndRun(q), kCycleMax);
 }
 
 } // namespace

@@ -200,7 +200,7 @@ TEST(SimulatorDeath, ZeroIntervalEveryPanics)
 
 TEST(Simulator, BatchedRunMatchesStepping)
 {
-    // The batched run() must replay the exact per-event order that
+    // run() must replay the exact per-event order that
     // single-stepping produces, including same-cycle chains.
     const auto drive = [](Simulator &sim, std::vector<int> &order) {
         for (int i = 0; i < 8; ++i)
