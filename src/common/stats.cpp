@@ -169,7 +169,29 @@ LogHistogram::add(double x)
     const std::int64_t key =
         static_cast<std::int64_t>(exp) * static_cast<std::int64_t>(sub_) +
         idx;
-    ++buckets_[key];
+    cover(key, key);
+    ++counts_[static_cast<std::size_t>(key - lo_)];
+}
+
+void
+LogHistogram::cover(std::int64_t lo, std::int64_t hi)
+{
+    if (counts_.empty()) {
+        lo_ = lo;
+        counts_.assign(static_cast<std::size_t>(hi - lo + 1), 0);
+        return;
+    }
+    if (lo < lo_) {
+        // Grow downward by at least the current width so a run of
+        // ever-smaller samples costs amortized O(1) per new key.
+        const auto need = static_cast<std::size_t>(lo_ - lo);
+        const std::size_t grow = std::max(need, counts_.size());
+        counts_.insert(counts_.begin(), grow, 0);
+        lo_ -= static_cast<std::int64_t>(grow);
+    }
+    const auto top = static_cast<std::size_t>(hi - lo_ + 1);
+    if (top > counts_.size())
+        counts_.resize(top, 0);
 }
 
 void
@@ -189,8 +211,14 @@ LogHistogram::merge(const LogHistogram &other)
     count_ += other.count_;
     sum_ += other.sum_;
     zero_ += other.zero_;
-    for (const auto &[key, n] : other.buckets_)
-        buckets_[key] += n;
+    if (other.counts_.empty())
+        return;
+    cover(other.lo_,
+          other.lo_ + static_cast<std::int64_t>(other.counts_.size()) -
+              1);
+    const auto offset = static_cast<std::size_t>(other.lo_ - lo_);
+    for (std::size_t k = 0; k < other.counts_.size(); ++k)
+        counts_[offset + k] += other.counts_[k];
 }
 
 double
@@ -231,10 +259,12 @@ LogHistogram::percentile(double p) const
     std::uint64_t cum = zero_;
     if (target < cum)
         return std::clamp(0.0, min_, max_);
-    for (const auto &[key, n] : buckets_) {
-        cum += n;
+    for (std::size_t k = 0; k < counts_.size(); ++k) {
+        cum += counts_[k];
         if (target < cum)
-            return std::clamp(bucketMid(key), min_, max_);
+            return std::clamp(
+                bucketMid(lo_ + static_cast<std::int64_t>(k)), min_,
+                max_);
     }
     return max_;
 }
@@ -242,7 +272,8 @@ LogHistogram::percentile(double p) const
 void
 LogHistogram::reset()
 {
-    buckets_.clear();
+    counts_.clear();
+    lo_ = 0;
     zero_ = 0;
     count_ = 0;
     sum_ = 0.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/log.h"
 
@@ -87,6 +88,92 @@ ArrivalProcess::ArrivalProcess(ArrivalSpec spec, std::uint64_t seed)
     : spec_(spec), rng_(seed)
 {
     spec_.check().orDie();
+    if (spec_.rps == 0.0)
+        return;
+    switch (spec_.kind) {
+      case ArrivalKind::Poisson:
+        gap_ = 1.0 / spec_.rps;
+        break;
+      case ArrivalKind::Diurnal:
+        lambdaMax_ = spec_.rps * (1.0 + spec_.amplitude);
+        gap_ = 1.0 / lambdaMax_;
+        break;
+      case ArrivalKind::Bursty: {
+        const double duty =
+            spec_.meanOnSec / (spec_.meanOnSec + spec_.meanOffSec);
+        gap_ = 1.0 / (spec_.rps / duty);
+        // Start in the stationary state distribution so the stream
+        // has no startup transient.
+        on_ = rng_.bernoulli(duty);
+        stateEnd_ = rng_.exponential(on_ ? spec_.meanOnSec
+                                         : spec_.meanOffSec);
+        break;
+      }
+    }
+}
+
+double
+ArrivalProcess::stepPoisson(double &t)
+{
+    t += rng_.exponential(gap_);
+    return t;
+}
+
+double
+ArrivalProcess::stepDiurnal(double &t)
+{
+    // Lewis-Shedler thinning against the envelope rate
+    // lambda_max = rps * (1 + amplitude): candidate arrivals come
+    // from a homogeneous Poisson process at lambda_max and survive
+    // with probability lambda(t) / lambda_max.
+    while (true) {
+        t += rng_.exponential(gap_);
+        const double lambda_t =
+            spec_.rps *
+            (1.0 + spec_.amplitude *
+                       std::sin(kTwoPi * t / spec_.periodSec));
+        if (rng_.bernoulli(lambda_t / lambdaMax_))
+            return t;
+    }
+}
+
+double
+ArrivalProcess::stepBursty(double &t, bool &on, double &stateEnd)
+{
+    // Two-state MMPP: exponential dwells in on/off states; the
+    // on-state rate is rps / duty so the long-run mean stays rps.
+    while (true) {
+        if (!on) {
+            // Idle: jump to the end of the off dwell.
+            t = stateEnd;
+            on = true;
+            stateEnd = t + rng_.exponential(spec_.meanOnSec);
+            continue;
+        }
+        const double next = t + rng_.exponential(gap_);
+        if (next >= stateEnd) {
+            // The burst ended before the next arrival fired.
+            t = stateEnd;
+            on = false;
+            stateEnd = t + rng_.exponential(spec_.meanOffSec);
+            continue;
+        }
+        t = next;
+        return t;
+    }
+}
+
+double
+ArrivalProcess::next()
+{
+    if (spec_.rps == 0.0)
+        return std::numeric_limits<double>::infinity();
+    switch (spec_.kind) {
+      case ArrivalKind::Poisson: return stepPoisson(t_);
+      case ArrivalKind::Diurnal: return stepDiurnal(t_);
+      case ArrivalKind::Bursty:  return stepBursty(t_, on_, stateEnd_);
+    }
+    panic("ArrivalProcess::next: bad kind");
 }
 
 std::vector<double>
@@ -95,95 +182,34 @@ ArrivalProcess::generate(double durationSec)
     if (!std::isfinite(durationSec) || durationSec < 0.0)
         panic("ArrivalProcess::generate: bad duration ",
               durationSec);
+    std::vector<double> times;
     if (durationSec == 0.0 || spec_.rps == 0.0)
-        return {};
+        return times;
+    times.reserve(static_cast<std::size_t>(
+        spec_.rps * durationSec * 1.1 + 16.0));
+    // next() until the horizon, with the clock in locals so the
+    // loop keeps it in registers across push_back.
+    double t = t_;
+    bool on = on_;
+    double stateEnd = stateEnd_;
+    auto collect = [&](auto step) {
+        for (double x = step(); x < durationSec; x = step())
+            times.push_back(x);
+    };
     switch (spec_.kind) {
-      case ArrivalKind::Poisson: return generatePoisson(durationSec);
-      case ArrivalKind::Diurnal: return generateDiurnal(durationSec);
-      case ArrivalKind::Bursty:  return generateBursty(durationSec);
+      case ArrivalKind::Poisson:
+        collect([&] { return stepPoisson(t); });
+        break;
+      case ArrivalKind::Diurnal:
+        collect([&] { return stepDiurnal(t); });
+        break;
+      case ArrivalKind::Bursty:
+        collect([&] { return stepBursty(t, on, stateEnd); });
+        break;
     }
-    panic("ArrivalProcess::generate: bad kind");
-}
-
-std::vector<double>
-ArrivalProcess::generatePoisson(double durationSec)
-{
-    std::vector<double> times;
-    times.reserve(static_cast<std::size_t>(
-        spec_.rps * durationSec * 1.1 + 16.0));
-    const double mean_gap = 1.0 / spec_.rps;
-    double t = rng_.exponential(mean_gap);
-    while (t < durationSec) {
-        times.push_back(t);
-        t += rng_.exponential(mean_gap);
-    }
-    return times;
-}
-
-std::vector<double>
-ArrivalProcess::generateDiurnal(double durationSec)
-{
-    // Lewis-Shedler thinning against the envelope rate
-    // lambda_max = rps * (1 + amplitude): candidate arrivals come
-    // from a homogeneous Poisson process at lambda_max and survive
-    // with probability lambda(t) / lambda_max.
-    std::vector<double> times;
-    const double lambda_max = spec_.rps * (1.0 + spec_.amplitude);
-    times.reserve(static_cast<std::size_t>(
-        spec_.rps * durationSec * 1.1 + 16.0));
-    const double mean_gap = 1.0 / lambda_max;
-    double t = rng_.exponential(mean_gap);
-    while (t < durationSec) {
-        const double lambda_t =
-            spec_.rps *
-            (1.0 + spec_.amplitude *
-                       std::sin(kTwoPi * t / spec_.periodSec));
-        if (rng_.bernoulli(lambda_t / lambda_max))
-            times.push_back(t);
-        t += rng_.exponential(mean_gap);
-    }
-    return times;
-}
-
-std::vector<double>
-ArrivalProcess::generateBursty(double durationSec)
-{
-    // Two-state MMPP: exponential dwells in on/off states; the
-    // on-state rate is rps / duty so the long-run mean stays rps.
-    const double duty =
-        spec_.meanOnSec / (spec_.meanOnSec + spec_.meanOffSec);
-    const double on_rate = spec_.rps / duty;
-    const double on_gap = 1.0 / on_rate;
-
-    std::vector<double> times;
-    times.reserve(static_cast<std::size_t>(
-        spec_.rps * durationSec * 1.1 + 16.0));
-    // Start in the stationary state distribution so the stream has
-    // no startup transient.
-    bool on = rng_.bernoulli(duty);
-    double t = 0.0;
-    double state_end =
-        rng_.exponential(on ? spec_.meanOnSec : spec_.meanOffSec);
-    while (t < durationSec) {
-        if (!on) {
-            // Idle: jump to the end of the off dwell.
-            t = state_end;
-            on = true;
-            state_end = t + rng_.exponential(spec_.meanOnSec);
-            continue;
-        }
-        const double next = t + rng_.exponential(on_gap);
-        if (next >= state_end) {
-            // The burst ended before the next arrival fired.
-            t = state_end;
-            on = false;
-            state_end = t + rng_.exponential(spec_.meanOffSec);
-            continue;
-        }
-        t = next;
-        if (t < durationSec)
-            times.push_back(t);
-    }
+    t_ = t;
+    on_ = on;
+    stateEnd_ = stateEnd;
     return times;
 }
 

@@ -74,8 +74,10 @@ struct ArrivalSpec
 
 /**
  * Deterministic generator for one tenant's stream. Construct with
- * the tenant's derived seed, then generate() the full stream for a
- * horizon; repeated construction yields the identical stream.
+ * the tenant's derived seed, then pull arrivals one at a time with
+ * next() (the serve loop holds one pending time per tenant) or
+ * generate() a whole horizon; repeated construction yields the
+ * identical stream.
  */
 class ArrivalProcess
 {
@@ -89,19 +91,33 @@ class ArrivalProcess
     const ArrivalSpec &spec() const { return spec_; }
 
     /**
-     * All arrival times in [0, durationSec), ascending. A fresh
-     * ArrivalProcess with the same (spec, seed) returns the same
-     * vector for any duration prefix.
+     * The next arrival time, strictly after the previous one
+     * (ascending); +infinity forever when the rate is 0. O(1)
+     * memory: the process carries only its clock, RNG and (bursty)
+     * on/off dwell state.
+     */
+    double next();
+
+    /**
+     * All arrival times in [0, durationSec), ascending: next() until
+     * the horizon. A fresh ArrivalProcess with the same (spec, seed)
+     * returns the same vector for any duration prefix.
      */
     std::vector<double> generate(double durationSec);
 
   private:
-    std::vector<double> generatePoisson(double durationSec);
-    std::vector<double> generateDiurnal(double durationSec);
-    std::vector<double> generateBursty(double durationSec);
+    /** One arrival of each kind, advancing the given clock state. */
+    double stepPoisson(double &t);
+    double stepDiurnal(double &t);
+    double stepBursty(double &t, bool &on, double &stateEnd);
 
     ArrivalSpec spec_;
     Rng rng_;
+    double t_ = 0.0;        ///< last time drawn (or dwell boundary)
+    double gap_ = 0.0;      ///< mean candidate inter-arrival gap
+    double lambdaMax_ = 0.0; ///< diurnal thinning envelope
+    bool on_ = false;        ///< bursty: inside a burst
+    double stateEnd_ = 0.0;  ///< bursty: end of the current dwell
 };
 
 /** One request in the merged fleet feed. */

@@ -27,11 +27,52 @@ namespace {
 constexpr std::uint64_t kCoreStreamSalt = 1ull << 32;
 constexpr std::uint64_t kFloodStreamSalt = 1ull << 33;
 
-/** One completion, buffered per control epoch inside the owning
- * core and folded into the per-tenant accumulators serially (in
- * core-index order) by the manager — so a tenant served by two
- * cores in one epoch (migration) still folds in one deterministic
- * floating-point order for any --jobs value. */
+/** One flood source: an antagonist flood profile or a
+ * serve-granularity `flood` fault site. Each hit on a base arrival
+ * appends `burst` copies of it to the tenant's stream. */
+struct FloodSource
+{
+    double prob = 0.0;
+    std::uint64_t burst = 0;
+    double afterSec = 0.0;
+    double untilSec = 0.0; ///< 0 = never ends
+    std::uint64_t maxCount = 0;
+    int tenant = -1; ///< -1 = every tenant
+
+    bool
+    appliesTo(std::size_t t) const
+    {
+        return tenant < 0 || static_cast<std::size_t>(tenant) == t;
+    }
+
+    /** A cap shared by every tenant, used up in tenant-index order. */
+    bool globalCap() const { return tenant < 0 && maxCount > 0; }
+};
+
+/** Flood thinning for one base arrival of @p tenant at @p t: one
+ * uniform draw per source live for the tenant at t (always-draw, so
+ * sequences are stable under rate changes), calling hit(k) for each
+ * source k whose draw fires. */
+template <typename Hit>
+void
+drawFloods(const std::vector<FloodSource> &sources, std::size_t tenant,
+           double t, Rng &rng, Hit &&hit)
+{
+    for (std::size_t k = 0; k < sources.size(); ++k) {
+        const FloodSource &s = sources[k];
+        if (!s.appliesTo(tenant))
+            continue;
+        if (t < s.afterSec || (s.untilSec > 0.0 && t >= s.untilSec))
+            continue;
+        if (rng.uniform() < s.prob)
+            hit(k);
+    }
+}
+
+/** One completion of a split tenant (see CoreSim::split), buffered
+ * inside the completing core and folded serially in core-index
+ * order at the epoch's end, so the tenant's floating-point sums keep
+ * one order for any --jobs value. */
 struct CompletionRec
 {
     std::uint32_t tenant = 0; ///< global tenant index
@@ -41,14 +82,6 @@ struct CompletionRec
     double serviceUs = 0.0;
     double soloUs = 0.0;
     double endSec = 0.0; ///< completion time (SLO bucket key)
-};
-
-/** One queue-wait / thrash-overhead attribution charge. */
-struct WaitCharge
-{
-    std::uint32_t victim = 0;
-    std::uint32_t perp = 0;
-    double us = 0.0;
 };
 
 /** Static per-tenant antagonist context, shared by every core. */
@@ -65,18 +98,114 @@ struct Waiting
     std::uint64_t seq = 0;
 };
 
+/** One tenant's bounded FIFO of waiting requests: a ring that grows
+ * on demand up to the queue capacity and never holds more. */
+class WaitQueue
+{
+  public:
+    std::size_t size() const { return size_; }
+
+    void
+    push(const Waiting &w, std::size_t capacity)
+    {
+        if (size_ == ring_.size())
+            grow(capacity);
+        std::size_t slot = head_ + size_;
+        if (slot >= ring_.size())
+            slot -= ring_.size();
+        ring_[slot] = w;
+        ++size_;
+    }
+
+    Waiting
+    pop()
+    {
+        const Waiting w = ring_[head_];
+        if (++head_ == ring_.size())
+            head_ = 0;
+        --size_;
+        return w;
+    }
+
+    void clear() { *this = WaitQueue(); }
+
+  private:
+    void
+    grow(std::size_t capacity)
+    {
+        const std::size_t want =
+            std::min(std::max<std::size_t>(2 * ring_.size(), 4),
+                     capacity);
+        std::vector<Waiting> ring(want);
+        for (std::size_t k = 0; k < size_; ++k)
+            ring[k] = ring_[(head_ + k) % ring_.size()];
+        ring_ = std::move(ring);
+        head_ = 0;
+    }
+
+    std::vector<Waiting> ring_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+};
+
+/** One tenant's serving totals, folded as its requests complete. */
+struct TenantAccum
+{
+    LogHistogram latencyUs;
+    std::uint64_t offered = 0;
+    std::uint64_t completed = 0;
+    std::uint64_t shed = 0;
+    std::uint64_t rejected = 0;
+    std::uint64_t violations = 0;
+    double queueUs = 0.0;
+    double serviceUs = 0.0;
+    double soloUs = 0.0;
+
+    void
+    add(const CompletionRec &r)
+    {
+        latencyUs.add(r.latencyUs);
+        ++completed;
+        if (r.violated)
+            ++violations;
+        queueUs += r.queueUs;
+        serviceUs += r.serviceUs;
+        soloUs += r.soloUs;
+    }
+};
+
 /**
- * One tenant's live state on its current host core. The flow moves
- * wholesale between cores on migrate/isolate (queue handed over,
- * SCFQ virtual time reset); the in-flight request, if any, finishes
- * on the old core from captured parameters.
+ * One tenant's live state on its current host core: its lazily
+ * generated arrival stream, waiting queue, SCFQ clock and serving
+ * totals. The flow moves wholesale between cores on
+ * migrate/isolate (queue, stream and totals handed over, SCFQ
+ * virtual time reset); the in-flight request, if any, finishes on
+ * the old core from captured parameters.
  */
 struct V10_DOMAIN_LOCAL TenantFlow
 {
+    explicit TenantFlow(ArrivalProcess p) : process(std::move(p)) {}
+
+    // --- read by the per-event scans -------------------------------
+    /** Time of the next un-consumed arrival; +inf when the stream
+     * has none left before the horizon. */
+    double nextSec = std::numeric_limits<double>::infinity();
+    double vtime = 0.0; ///< SCFQ virtual finish time
+    bool active = true; ///< consuming arrivals (churn/evict)
     std::uint32_t tenant = 0; ///< global index (trace IDs)
-    const std::vector<double> *arrivals = nullptr;
-    std::size_t cursor = 0; ///< next un-consumed arrival
-    bool active = true;     ///< consuming arrivals (churn/evict)
+    WaitQueue queue;
+
+    // --- arrival stream: base process plus flood burst copies ------
+    ArrivalProcess process;
+    std::uint64_t cursor = 0; ///< arrivals consumed (the next seq)
+    /** Live flood sources, or nullptr when none applies. */
+    const std::vector<FloodSource> *floods = nullptr;
+    /** Per source: hits this tenant may still fire. */
+    std::vector<std::uint64_t> floodLeft;
+    Rng floodRng{0};
+    std::uint64_t floodPending = 0; ///< burst copies at nextSec
+
+    // --- service parameters ---------------------------------------
     double serviceMeanSec = 0.0; ///< after the collocation speedup
     double soloMeanSec = 0.0;    ///< solo-run calibration
     double weight = 1.0;
@@ -84,11 +213,43 @@ struct V10_DOMAIN_LOCAL TenantFlow
     /** Admission gate bucket; nullptr = admit everything. */
     TokenBucket *bucket = nullptr;
     const TenantStatic *stat = nullptr;
-    std::vector<Waiting> queue;
-    std::size_t head = 0;
-    double vtime = 0.0; ///< SCFQ virtual finish time
 
-    std::size_t queued() const { return queue.size() - head; }
+    TenantAccum accum;
+
+    std::size_t queued() const { return queue.size(); }
+
+    /** Pull the next base arrival, dropping it past @p horizon. */
+    void
+    advance(double horizon)
+    {
+        const double t = process.next();
+        nextSec = t < horizon ? t : std::numeric_limits<double>::infinity();
+    }
+
+    /**
+     * Consume the arrival at nextSec and return its seq. A base
+     * arrival draws the flood thinning; each hit queues burst copies
+     * at the same time, served before the next base arrival.
+     */
+    std::uint64_t
+    take(double horizon)
+    {
+        const std::uint64_t seq = cursor++;
+        if (floodPending > 0) {
+            --floodPending;
+        } else if (floods != nullptr) {
+            drawFloods(*floods, tenant, nextSec, floodRng,
+                       [&](std::size_t k) {
+                           if (floodLeft[k] == 0)
+                               return;
+                           --floodLeft[k];
+                           floodPending += (*floods)[k].burst;
+                       });
+        }
+        if (floodPending == 0)
+            advance(horizon);
+        return seq;
+    }
 };
 
 /**
@@ -100,6 +261,13 @@ struct V10_DOMAIN_LOCAL TenantFlow
  * draw sites, same floating-point accumulation — so legacy runs
  * stay byte-identical. Trace/observability inputs only *record*;
  * service draws and scheduling never depend on them.
+ *
+ * Completions fold into the tenant's totals, its SloMonitor row and
+ * its attribution row where they happen. Within an epoch every flow
+ * is resident on exactly one core, so those rows have one writer —
+ * except for a split tenant, whose in-flight request was left on
+ * its old core by a migration; its completions are buffered and
+ * folded by the manager after the epoch.
  */
 class V10_DOMAIN_LOCAL CoreSim
 {
@@ -116,11 +284,17 @@ class V10_DOMAIN_LOCAL CoreSim
     double durationSec = 1.0;
     std::size_t sampleTicks = 0;
     double tickSec = 0.0;
-    bool needCharges = false;
+    /** Tenant rows this core writes for its residents; the
+     * attribution collector is nullptr when no charges are kept. */
+    SloMonitor *monitor = nullptr;
+    AttributionCollector *attrib = nullptr;
+    /** split[t] != 0: tenant t's completions this epoch are
+     * buffered (read-only while cores run). */
+    const std::vector<char> *split = nullptr;
 
-    /** Resident flows, keyed by global tenant index; ascending map
-     * order is the deterministic tie-break everywhere. */
-    std::map<std::size_t, TenantFlow> flows;
+    /** Resident flows, ascending by tenant index: the deterministic
+     * tie-break everywhere. */
+    std::vector<TenantFlow> flows;
 
     // --- server state ---------------------------------------------
     double vclock = 0.0;
@@ -149,21 +323,27 @@ class V10_DOMAIN_LOCAL CoreSim
     std::vector<double> inflightSamples;
     std::vector<RequestSpan> spans;
 
-    // --- per-epoch buffers (folded serially by the manager) -------
-    std::vector<CompletionRec> completions;
-    std::vector<WaitCharge> charges;
-    std::map<std::size_t, std::uint64_t> offered;
-    std::map<std::size_t, std::uint64_t> shed;
-    std::map<std::size_t, std::uint64_t> rejected;
+    /** This epoch's completions of split tenants. */
+    std::vector<CompletionRec> splitCompletions;
 
-    void
-    beginEpoch()
+    /** The resident flow of tenant @p t (panics if absent). */
+    TenantFlow &flow(std::size_t t) { return *resident(t); }
+
+    /** Remove and return tenant @p t's flow. */
+    TenantFlow
+    release(std::size_t t)
     {
-        completions.clear();
-        charges.clear();
-        offered.clear();
-        shed.clear();
-        rejected.clear();
+        const auto it = resident(t);
+        TenantFlow out = std::move(*it);
+        flows.erase(it);
+        return out;
+    }
+
+    /** Adopt a flow, keeping ascending tenant order. */
+    void
+    adopt(TenantFlow f)
+    {
+        flows.insert(lowerBound(f.tenant), std::move(f));
     }
 
     /** Time-weighted occupancy accounting plus the optional fixed
@@ -213,19 +393,18 @@ class V10_DOMAIN_LOCAL CoreSim
     void
     startNext(double now)
     {
-        auto pick = flows.end();
-        for (auto it = flows.begin(); it != flows.end(); ++it) {
-            if (it->second.queued() == 0)
+        TenantFlow *pick = nullptr;
+        for (TenantFlow &f : flows) {
+            if (f.queued() == 0)
                 continue;
-            if (pick == flows.end() ||
-                it->second.vtime < pick->second.vtime)
-                pick = it;
+            if (pick == nullptr || f.vtime < pick->vtime)
+                pick = &f;
         }
-        if (pick == flows.end())
+        if (pick == nullptr)
             return;
-        TenantFlow &f = pick->second;
+        TenantFlow &f = *pick;
         servedTenant = f.tenant;
-        const Waiting &w = f.queue[f.head++];
+        const Waiting w = f.queue.pop();
         servedArrival = w.timeSec;
         servedSeq = w.seq;
         --waiting;
@@ -233,8 +412,8 @@ class V10_DOMAIN_LOCAL CoreSim
         // Preemption thrashing: a queued co-resident with a live
         // thrash window inflicts per-start overhead, charged to the
         // thrasher in the attribution matrix.
-        for (auto &[ti, g] : flows) {
-            if (ti == pick->first || g.stat == nullptr ||
+        for (const TenantFlow &g : flows) {
+            if (&g == pick || g.stat == nullptr ||
                 g.stat->thrash.empty() || g.queued() == 0)
                 continue;
             double frac = 0.0;
@@ -246,9 +425,9 @@ class V10_DOMAIN_LOCAL CoreSim
                 continue;
             const double overhead = frac * f.serviceMeanSec;
             service += overhead;
-            if (needCharges)
-                charges.push_back(
-                    WaitCharge{f.tenant, g.tenant, overhead * 1e6});
+            if (attrib != nullptr)
+                attrib->chargeQueueWait(f.tenant, g.tenant,
+                                        overhead * 1e6);
         }
         vclock = std::max(vclock, f.vtime);
         f.vtime = vclock + service / f.weight;
@@ -282,10 +461,18 @@ class V10_DOMAIN_LOCAL CoreSim
         ++served;
         const double target = servedSloTargetUs;
         const bool violated = target > 0.0 && latencyUs > target;
-        completions.push_back(CompletionRec{
-            servedTenant, violated, latencyUs, queueUs, serviceUs,
-            soloUs, busyUntil});
-        if (needCharges) {
+        const CompletionRec rec{servedTenant, violated, latencyUs,
+                                queueUs,      serviceUs, soloUs,
+                                busyUntil};
+        if ((*split)[servedTenant] != 0) {
+            splitCompletions.push_back(rec);
+        } else {
+            flow(servedTenant).accum.add(rec);
+            monitor->addBucket(servedTenant,
+                               monitor->bucketIndex(busyUntil), 1,
+                               violated ? 1 : 0);
+        }
+        if (attrib != nullptr) {
             // Head-of-line blocking: each co-resident flow whose
             // head request waited out this service accrues the
             // service time, charged to the tenant that held the
@@ -294,11 +481,11 @@ class V10_DOMAIN_LOCAL CoreSim
             // blocker's server occupancy — a flooder's deep
             // self-inflicted queue must not inflate its victims'
             // columns.
-            for (auto &[ti, g] : flows) {
+            for (const TenantFlow &g : flows) {
                 if (g.tenant == servedTenant || g.queued() == 0)
                     continue;
-                charges.push_back(
-                    WaitCharge{g.tenant, servedTenant, serviceUs});
+                attrib->chargeQueueWait(g.tenant, servedTenant,
+                                        serviceUs);
             }
         }
         if (spanSampleN > 0) {
@@ -358,26 +545,21 @@ class V10_DOMAIN_LOCAL CoreSim
             isFinal ? std::numeric_limits<double>::infinity()
                     : epochEnd;
         while (true) {
-            // Next arrival among active flows (ascending map order
-            // breaks exact-time ties toward the lowest index).
-            auto at = flows.end();
+            // Next arrival among active flows (ascending tenant
+            // order breaks exact-time ties toward the lowest index).
+            TenantFlow *at = nullptr;
             double atTime = 0.0;
-            for (auto it = flows.begin(); it != flows.end(); ++it) {
-                TenantFlow &f = it->second;
-                if (!f.active || f.cursor >= f.arrivals->size())
+            for (TenantFlow &f : flows) {
+                if (!f.active || f.nextSec >= bound)
                     continue;
-                const double tm = (*f.arrivals)[f.cursor];
-                if (tm >= bound)
-                    continue;
-                if (at == flows.end() || tm < atTime) {
-                    at = it;
-                    atTime = tm;
+                if (at == nullptr || f.nextSec < atTime) {
+                    at = &f;
+                    atTime = f.nextSec;
                 }
             }
-            const bool haveArrival = at != flows.end();
             // Completions fire before arrivals carrying the same
             // timestamp: the server frees the slot first.
-            if (busy && (!haveArrival || busyUntil <= atTime)) {
+            if (busy && (at == nullptr || busyUntil <= atTime)) {
                 if (!isFinal && busyUntil >= epochEnd)
                     break; // lands on/after the boundary: defer
                 const double now = busyUntil;
@@ -386,21 +568,20 @@ class V10_DOMAIN_LOCAL CoreSim
                 startNext(now);
                 continue;
             }
-            if (!haveArrival)
+            if (at == nullptr)
                 break;
-            TenantFlow &f = at->second;
-            const auto seq = static_cast<std::uint64_t>(f.cursor);
-            ++f.cursor;
-            ++offered[at->first];
+            TenantFlow &f = *at;
+            const std::uint64_t seq = f.take(durationSec);
+            ++f.accum.offered;
             advanceTime(atTime);
             if (f.bucket != nullptr && !f.bucket->tryAdmit(atTime)) {
-                ++rejected[at->first];
+                ++f.accum.rejected;
                 dropSpan(f, atTime, seq, /*wasRejected=*/true);
             } else if (f.queued() >= queueCapacity) {
-                ++shed[at->first]; // bounded queue: load-shed
+                ++f.accum.shed; // bounded queue: load-shed
                 dropSpan(f, atTime, seq, /*wasRejected=*/false);
             } else {
-                f.queue.push_back(Waiting{atTime, seq});
+                f.queue.push(Waiting{atTime, seq}, queueCapacity);
                 ++waiting;
                 depthPeak = std::max(depthPeak,
                                      static_cast<double>(waiting));
@@ -422,6 +603,26 @@ class V10_DOMAIN_LOCAL CoreSim
             inflightSamples.push_back(0.0);
             ++nextTick;
         }
+    }
+
+  private:
+    std::vector<TenantFlow>::iterator
+    lowerBound(std::size_t t)
+    {
+        return std::lower_bound(
+            flows.begin(), flows.end(), t,
+            [](const TenantFlow &f, std::size_t key) {
+                return f.tenant < key;
+            });
+    }
+
+    std::vector<TenantFlow>::iterator
+    resident(std::size_t t)
+    {
+        const auto it = lowerBound(t);
+        if (it == flows.end() || it->tenant != t)
+            panic("serve: tenant ", t, " not resident on core ", index);
+        return it;
     }
 };
 
@@ -896,31 +1097,13 @@ ClusterManager::run()
                             E > 1 ? E - 1 : 1);
     }
 
-    // Per-tenant arrival streams: derived seeds make every stream a
-    // pure function of (run seed, tenant index).
-    std::vector<std::vector<double>> streams(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        ArrivalProcess process(
-            tenants_[i].arrival,
-            Rng::deriveStream(config_.seed, i));
-        streams[i] = process.generate(config_.durationSec);
-    }
-
-    // Flood augmentation at stream generation: antagonist flood
-    // profiles and serve-granularity fault-plan flood sites thin the
-    // base arrivals with a per-tenant derived stream (one draw per
-    // live source per base arrival — always-draw, so sequences are
-    // stable under rate changes) and append burst copies in place.
-    struct FloodSource
-    {
-        double prob = 0.0;
-        std::uint64_t burst = 0;
-        double afterSec = 0.0;
-        double untilSec = 0.0; ///< 0 = never ends
-        std::uint64_t maxCount = 0;
-        int tenant = -1; ///< -1 = every tenant
-        std::uint64_t fired = 0;
-    };
+    // Flood augmentation: antagonist flood profiles and
+    // serve-granularity fault-plan flood sites thin each base
+    // arrival with a per-tenant derived stream and add burst copies
+    // at its time. Streams are generated lazily per flow, so the
+    // one order-dependent case — a cap shared by every tenant, used
+    // up in tenant-index order — gets each tenant's share from a
+    // counting pre-pass.
     std::vector<FloodSource> floodSources;
     for (const AntagonistProfile &p :
          config_.antagonists.profiles()) {
@@ -954,42 +1137,65 @@ ClusterManager::run()
             floodSources.push_back(src);
         }
     }
-    if (!floodSources.empty()) {
-        for (std::size_t i = 0; i < n; ++i) {
-            bool applicable = false;
-            for (const FloodSource &s : floodSources) {
-                if (s.tenant < 0 ||
-                    static_cast<std::size_t>(s.tenant) == i) {
-                    applicable = true;
-                    break;
-                }
+    auto arrivalProcess = [&](std::size_t i) {
+        // Derived seeds make every stream a pure function of (run
+        // seed, tenant index).
+        return ArrivalProcess(tenants_[i].arrival,
+                              Rng::deriveStream(config_.seed, i));
+    };
+    auto floodRng = [&](std::size_t i) {
+        return Rng(Rng::deriveStream(config_.seed,
+                                     kFloodStreamSalt + i));
+    };
+    const std::uint64_t kUncapped =
+        std::numeric_limits<std::uint64_t>::max();
+    // floodLeft[i][k]: hits of source k tenant i may still fire
+    // (empty when no source applies to tenant i).
+    std::vector<std::vector<std::uint64_t>> floodLeft(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (std::none_of(floodSources.begin(), floodSources.end(),
+                         [&](const FloodSource &s) {
+                             return s.appliesTo(i);
+                         }))
+            continue;
+        for (const FloodSource &s : floodSources)
+            floodLeft[i].push_back(s.globalCap()   ? 0 // pre-pass
+                                   : s.maxCount > 0 ? s.maxCount
+                                                    : kUncapped);
+    }
+    std::vector<std::uint64_t> capLeft(floodSources.size(), 0);
+    for (std::size_t k = 0; k < floodSources.size(); ++k) {
+        if (floodSources[k].globalCap())
+            capLeft[k] = floodSources[k].maxCount;
+    }
+    auto capsLeft = [&] {
+        return std::any_of(capLeft.begin(), capLeft.end(),
+                           [](std::uint64_t c) { return c > 0; });
+    };
+    for (std::size_t i = 0; i < n && capsLeft(); ++i) {
+        // Count tenant i's hits on each shared cap over its whole
+        // stream (stopping once every cap is covered); its share is
+        // the first min(hits, left) of them.
+        std::vector<std::uint64_t> hits(floodSources.size(), 0);
+        auto covered = [&] {
+            for (std::size_t k = 0; k < capLeft.size(); ++k) {
+                if (hits[k] < capLeft[k])
+                    return false;
             }
-            if (!applicable)
+            return true;
+        };
+        ArrivalProcess process = arrivalProcess(i);
+        Rng frng = floodRng(i);
+        for (double t = process.next();
+             t < config_.durationSec && !covered(); t = process.next())
+            drawFloods(floodSources, i, t, frng,
+                       [&](std::size_t k) { ++hits[k]; });
+        for (std::size_t k = 0; k < capLeft.size(); ++k) {
+            if (!floodSources[k].globalCap())
                 continue;
-            Rng frng(Rng::deriveStream(config_.seed,
-                                       kFloodStreamSalt + i));
-            std::vector<double> out;
-            out.reserve(streams[i].size());
-            for (double t : streams[i]) {
-                out.push_back(t);
-                for (FloodSource &s : floodSources) {
-                    if (s.tenant >= 0 &&
-                        static_cast<std::size_t>(s.tenant) != i)
-                        continue;
-                    if (t < s.afterSec ||
-                        (s.untilSec > 0.0 && t >= s.untilSec))
-                        continue;
-                    const bool hit = frng.uniform() < s.prob;
-                    if (!hit)
-                        continue;
-                    if (s.maxCount > 0 && s.fired >= s.maxCount)
-                        continue;
-                    ++s.fired;
-                    for (std::uint64_t k = 0; k < s.burst; ++k)
-                        out.push_back(t);
-                }
-            }
-            streams[i] = std::move(out);
+            const std::uint64_t share = std::min(hits[k], capLeft[k]);
+            floodLeft[i][k] = share;
+            capLeft[k] -= share;
         }
     }
 
@@ -1037,6 +1243,11 @@ ClusterManager::run()
                                     config_.ladder);
 
     // Persistent per-core simulations seeded from the placement.
+    // Completions fold into the flows' totals and these rows as they
+    // happen; split[t] marks a tenant whose completions this epoch
+    // are buffered instead (set at each epoch start).
+    SloMonitor monitor(n, config_.durationSec, config_.sloPolicy);
+    std::vector<char> split(n, 0);
     const std::uint64_t spanSampleN =
         tracer_ != nullptr ? tracer_->sampler().n : 0;
     std::vector<CoreSim> sims(config_.numCores);
@@ -1059,12 +1270,20 @@ ClusterManager::run()
                 ? config_.durationSec /
                       static_cast<double>(config_.queueSampleTicks)
                 : 0.0;
-        sim.needCharges = needCharges;
+        sim.monitor = &monitor;
+        sim.attrib = needCharges ? attrib : nullptr;
+        sim.split = &split;
         sim.endSec = config_.durationSec;
+        sim.flows.reserve(placement.coreTenants[c].size());
         for (std::size_t idx : placement.coreTenants[c]) {
-            TenantFlow f;
+            TenantFlow f(arrivalProcess(idx));
             f.tenant = static_cast<std::uint32_t>(idx);
-            f.arrivals = &streams[idx];
+            if (!floodLeft[idx].empty()) {
+                f.floods = &floodSources;
+                f.floodLeft = std::move(floodLeft[idx]);
+                f.floodRng = floodRng(idx);
+            }
+            f.advance(config_.durationSec);
             f.soloMeanSec = serviceUs(idx) * 1e-6;
             f.serviceMeanSec =
                 f.soloMeanSec / placement.tenantSpeed[idx];
@@ -1073,7 +1292,7 @@ ClusterManager::run()
             f.bucket = gate.bucket(idx);
             f.stat = &statics[idx];
             f.active = !startsInactive[idx];
-            sim.flows.emplace(idx, std::move(f));
+            sim.adopt(std::move(f));
         }
     }
 
@@ -1095,19 +1314,14 @@ ClusterManager::run()
             return;
         CoreSim &s = sims[src];
         CoreSim &d = sims[dest];
-        auto it = s.flows.find(t);
-        if (it == s.flows.end())
-            panic("serve: migrating tenant ", t,
-                  " not resident on core ", src);
-        TenantFlow f = std::move(it->second);
-        s.flows.erase(it);
+        TenantFlow f = s.release(t);
         s.waiting -= f.queued();
         d.waiting += f.queued();
         d.depthPeak = std::max(d.depthPeak,
                                static_cast<double>(d.waiting));
         f.vtime = 0.0; // SCFQ state is per-core: rejoin at vclock
         const bool hasWork = f.queued() > 0;
-        d.flows.emplace(t, std::move(f));
+        d.adopt(std::move(f));
         tenantCore[t] = dest;
         if (hasWork)
             d.kickIdle(now); // idle server must notice the handoff
@@ -1137,28 +1351,12 @@ ClusterManager::run()
         std::vector<std::vector<std::size_t>> lists(
             config_.numCores);
         for (std::size_t c = 0; c < config_.numCores; ++c) {
-            for (const auto &entry : sims[c].flows)
-                lists[c].push_back(entry.first);
+            for (const TenantFlow &f : sims[c].flows)
+                lists[c].push_back(f.tenant);
         }
         return lists;
     };
 
-    // Per-tenant accumulators owned by the manager and filled by
-    // the serial per-epoch fold (deterministic FP order).
-    struct TenantAccum
-    {
-        LogHistogram latencyUs;
-        std::uint64_t offered = 0;
-        std::uint64_t completed = 0;
-        std::uint64_t shed = 0;
-        std::uint64_t rejected = 0;
-        std::uint64_t violations = 0;
-        double queueUs = 0.0;
-        double serviceUs = 0.0;
-        double soloUs = 0.0;
-    };
-    std::vector<TenantAccum> accum(n);
-    SloMonitor monitor(n, config_.durationSec, config_.sloPolicy);
     std::vector<double> prevCharged(n, 0.0);
 
     ServingReport report;
@@ -1171,42 +1369,39 @@ ClusterManager::run()
             isFinal ? config_.durationSec
                     : static_cast<double>(e + 1) * epochSec;
 
+        // A tenant whose in-flight request a migration left on its
+        // old core is split: two cores may complete its requests
+        // this epoch, so those completions are buffered.
+        std::vector<std::size_t> splitTenants;
+        for (std::size_t c = 0; c < config_.numCores; ++c) {
+            const CoreSim &sim = sims[c];
+            if (sim.busy && tenantCore[sim.servedTenant] != c &&
+                split[sim.servedTenant] == 0) {
+                split[sim.servedTenant] = 1;
+                splitTenants.push_back(sim.servedTenant);
+            }
+        }
+
         // Independent per-core epoch simulations; each worker only
-        // touches its own CoreSim and its residents' token buckets.
+        // touches its own CoreSim, its residents' token buckets, and
+        // its residents' SloMonitor and attribution rows.
         exec.forEach(config_.numCores, [&](std::size_t c) {
-            sims[c].beginEpoch();
             sims[c].runEpoch(epochEnd, isFinal);
         });
 
-        // Serial fold in core-index order: identical accumulation
-        // order (and FP results) for any --jobs value.
-        for (std::size_t c = 0; c < config_.numCores; ++c) {
-            CoreSim &sim = sims[c];
-            for (const CompletionRec &r : sim.completions) {
-                TenantAccum &a = accum[r.tenant];
-                a.latencyUs.add(r.latencyUs);
-                ++a.completed;
-                if (r.violated)
-                    ++a.violations;
-                a.queueUs += r.queueUs;
-                a.serviceUs += r.serviceUs;
-                a.soloUs += r.soloUs;
+        // Split tenants fold serially in core-index order: the same
+        // accumulation order (and FP results) for any --jobs value.
+        for (CoreSim &sim : sims) {
+            for (const CompletionRec &r : sim.splitCompletions) {
+                sims[tenantCore[r.tenant]].flow(r.tenant).accum.add(r);
                 monitor.addBucket(r.tenant,
                                   monitor.bucketIndex(r.endSec), 1,
                                   r.violated ? 1 : 0);
             }
-            for (const auto &[t, cnt] : sim.offered)
-                accum[t].offered += cnt;
-            for (const auto &[t, cnt] : sim.shed)
-                accum[t].shed += cnt;
-            for (const auto &[t, cnt] : sim.rejected)
-                accum[t].rejected += cnt;
-            if (needCharges) {
-                for (const WaitCharge &ch : sim.charges)
-                    attrib->chargeQueueWait(ch.victim, ch.perp,
-                                            ch.us);
-            }
+            sim.splitCompletions.clear();
         }
+        for (std::size_t t : splitTenants)
+            split[t] = 0;
         if (isFinal)
             break;
 
@@ -1227,20 +1422,19 @@ ClusterManager::run()
             rec.toCore = cur;
             switch (pc.event.action) {
               case ChurnAction::Join: {
-                TenantFlow &f = sims[cur].flows.at(t);
+                TenantFlow &f = sims[cur].flow(t);
                 f.active = true;
                 // Arrivals before the join never happened: skip
-                // them un-counted.
-                while (f.cursor < f.arrivals->size() &&
-                       (*f.arrivals)[f.cursor] < boundary)
-                    ++f.cursor;
+                // them un-counted (their seqs stay used).
+                while (f.nextSec < boundary)
+                    (void)f.take(config_.durationSec);
                 activeNow[t] = 1;
                 joinSecV[t] = boundary;
                 leaveSecV[t] = 0.0;
                 break;
               }
               case ChurnAction::Leave: {
-                TenantFlow &f = sims[cur].flows.at(t);
+                TenantFlow &f = sims[cur].flow(t);
                 f.active = false; // queue drains gracefully
                 activeNow[t] = 0;
                 leaveSecV[t] = boundary;
@@ -1327,7 +1521,7 @@ ClusterManager::run()
                 rec.score = tr.score;
                 report.quarantineEvents.push_back(std::move(rec));
                 auto refreshBucket = [&] {
-                    sims[tenantCore[t]].flows.at(t).bucket =
+                    sims[tenantCore[t]].flow(t).bucket =
                         gate.bucket(t);
                 };
                 switch (tr.to) {
@@ -1352,14 +1546,13 @@ ClusterManager::run()
                     gate.block(t);
                     refreshBucket();
                     CoreSim &host = sims[tenantCore[t]];
-                    TenantFlow &f = host.flows.at(t);
+                    TenantFlow &f = host.flow(t);
                     f.active = false;
                     activeNow[t] = 0;
                     const std::size_t dropped = f.queued();
-                    accum[t].shed += dropped; // queue dropped
+                    f.accum.shed += dropped; // queue dropped
                     host.waiting -= dropped;
                     f.queue.clear();
-                    f.head = 0;
                     break;
                   }
                   case QuarantineStage::Healthy:
@@ -1394,9 +1587,9 @@ ClusterManager::run()
             core.inFlightMean = sim.busyArea / horizon;
         }
         core.queueDepthPeak = sim.depthPeak;
-        for (const auto &[idx, f] : sim.flows) {
-            core.tenants.push_back(tenants_[idx].name);
-            core.speedFactor = placement.tenantSpeed[idx];
+        for (const TenantFlow &f : sim.flows) {
+            core.tenants.push_back(tenants_[f.tenant].name);
+            core.speedFactor = placement.tenantSpeed[f.tenant];
         }
         if (!sim.flows.empty()) {
             ++report.coresUsed;
@@ -1407,7 +1600,8 @@ ClusterManager::run()
 
     for (std::size_t i = 0; i < n; ++i) {
         const ServeTenant &t = tenants_[i];
-        const TenantAccum &a = accum[i];
+        const TenantFlow &f = sims[tenantCore[i]].flow(i);
+        const TenantAccum &a = f.accum;
         TenantServingStats &ts = report.tenants[i];
         ts.name = t.name;
         ts.model = t.model;
@@ -1416,8 +1610,7 @@ ClusterManager::run()
         ts.completed = a.completed;
         ts.shed = a.shed;
         ts.rejected = a.rejected;
-        ts.inFlightAtEnd =
-            sims[tenantCore[i]].flows.at(i).queued();
+        ts.inFlightAtEnd = f.queued();
         ts.sloViolations = a.violations;
         ts.sloTargetUs = t.slo.latencyTargetUs;
         ts.weight = t.slo.weight;

@@ -18,7 +18,8 @@ Simulator::pastPanic(Cycles when) const
 void
 Simulator::overflowPanic() const
 {
-    V10_PANIC("Simulator::after: cycle overflow");
+    V10_PANIC("Simulator::at/after: cycle overflow (kCycleMax is "
+              "the empty-queue sentinel)");
 }
 
 void

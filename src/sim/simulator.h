@@ -48,22 +48,26 @@ class V10_DOMAIN_LOCAL Simulator
     /** Current simulated cycle. */
     Cycles now() const { return now_; }
 
-    /** Schedule @p cb at absolute cycle @p when (>= now()). */
+    /** Schedule @p cb at absolute cycle @p when (>= now(), and
+     * below kCycleMax, the queue's empty sentinel). */
     template <typename F>
     EventId
     at(Cycles when, F &&cb)
     {
         if (when < now_)
             pastPanic(when);
+        if (when == kCycleMax)
+            overflowPanic();
         return queue_.schedule(when, std::forward<F>(cb));
     }
 
-    /** Schedule @p cb @p delta cycles from now. */
+    /** Schedule @p cb @p delta cycles from now (the target cycle
+     * must stay below kCycleMax). */
     template <typename F>
     EventId
     after(Cycles delta, F &&cb)
     {
-        if (delta > kCycleMax - now_)
+        if (delta >= kCycleMax - now_)
             overflowPanic();
         return queue_.schedule(now_ + delta, std::forward<F>(cb));
     }

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <vector>
 
+#include "common/rng.h"
 #include "serve/arrival.h"
 
 namespace v10 {
@@ -221,6 +222,125 @@ TEST(ArrivalProcess, DerivedStreamsAreDisjoint)
     const double corr =
         cov / std::sqrt(variance(ca) * variance(cb));
     EXPECT_LT(std::fabs(corr), 0.2);
+}
+
+/**
+ * Reference generators: the materialized whole-horizon loops the
+ * lazy next() replaced, kept verbatim as an oracle for its RNG draw
+ * order.
+ */
+std::vector<double>
+referenceStream(const ArrivalSpec &spec, std::uint64_t seed,
+                double durationSec)
+{
+    constexpr double kTwoPi = 6.283185307179586476925286766559;
+    Rng rng(seed);
+    std::vector<double> times;
+    if (durationSec == 0.0 || spec.rps == 0.0)
+        return times;
+    switch (spec.kind) {
+      case ArrivalKind::Poisson: {
+        const double mean_gap = 1.0 / spec.rps;
+        for (double t = rng.exponential(mean_gap); t < durationSec;
+             t += rng.exponential(mean_gap))
+            times.push_back(t);
+        break;
+      }
+      case ArrivalKind::Diurnal: {
+        const double lambda_max = spec.rps * (1.0 + spec.amplitude);
+        const double mean_gap = 1.0 / lambda_max;
+        for (double t = rng.exponential(mean_gap); t < durationSec;
+             t += rng.exponential(mean_gap)) {
+            const double lambda_t =
+                spec.rps * (1.0 + spec.amplitude *
+                                      std::sin(kTwoPi * t /
+                                               spec.periodSec));
+            if (rng.bernoulli(lambda_t / lambda_max))
+                times.push_back(t);
+        }
+        break;
+      }
+      case ArrivalKind::Bursty: {
+        const double duty =
+            spec.meanOnSec / (spec.meanOnSec + spec.meanOffSec);
+        const double on_gap = 1.0 / (spec.rps / duty);
+        bool on = rng.bernoulli(duty);
+        double t = 0.0;
+        double state_end =
+            rng.exponential(on ? spec.meanOnSec : spec.meanOffSec);
+        while (t < durationSec) {
+            if (!on) {
+                t = state_end;
+                on = true;
+                state_end = t + rng.exponential(spec.meanOnSec);
+                continue;
+            }
+            const double next = t + rng.exponential(on_gap);
+            if (next >= state_end) {
+                t = state_end;
+                on = false;
+                state_end = t + rng.exponential(spec.meanOffSec);
+                continue;
+            }
+            t = next;
+            if (t < durationSec)
+                times.push_back(t);
+        }
+        break;
+      }
+    }
+    return times;
+}
+
+TEST(ArrivalProcess, NextSequenceEqualsGenerateForEveryHorizon)
+{
+    for (ArrivalKind kind :
+         {ArrivalKind::Poisson, ArrivalKind::Diurnal,
+          ArrivalKind::Bursty}) {
+        for (std::uint64_t seed : {1ull, 7ull, 99ull, 123457ull}) {
+            ArrivalSpec spec;
+            spec.kind = kind;
+            spec.rps = 45.0;
+            spec.periodSec = 4.0;
+            spec.meanOnSec = 0.3;
+            spec.meanOffSec = 0.7;
+            for (double d : {0.25, 3.0, 17.5}) {
+                const std::vector<double> expected =
+                    referenceStream(spec, seed, d);
+                ArrivalProcess whole(spec, seed);
+                EXPECT_EQ(whole.generate(d), expected)
+                    << arrivalKindName(kind) << " seed " << seed
+                    << " d " << d;
+                // next() yields the same prefix, then a time past
+                // the horizon, strictly increasing throughout.
+                ArrivalProcess lazy(spec, seed);
+                double prev = 0.0;
+                for (double t : expected) {
+                    const double got = lazy.next();
+                    ASSERT_EQ(got, t) << arrivalKindName(kind)
+                                      << " seed " << seed;
+                    prev = got;
+                }
+                const double beyond = lazy.next();
+                EXPECT_GE(beyond, d);
+                EXPECT_GT(beyond, prev);
+            }
+        }
+    }
+}
+
+TEST(ArrivalProcess, ZeroRateNextIsInfinite)
+{
+    ArrivalSpec spec;
+    spec.rps = 0.0;
+    for (ArrivalKind kind :
+         {ArrivalKind::Poisson, ArrivalKind::Diurnal,
+          ArrivalKind::Bursty}) {
+        spec.kind = kind;
+        ArrivalProcess idle(spec, 3);
+        EXPECT_TRUE(std::isinf(idle.next()));
+        EXPECT_TRUE(std::isinf(idle.next()));
+    }
 }
 
 TEST(ArrivalProcess, ZeroRateAndZeroDurationAreEmpty)

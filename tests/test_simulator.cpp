@@ -126,6 +126,30 @@ TEST(SimulatorDeath, SchedulingIntoThePastPanics)
     EXPECT_DEATH(sim.at(5, [] {}), "past");
 }
 
+TEST(SimulatorDeath, AtTheEmptySentinelCyclePanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    Simulator sim;
+    // kCycleMax is the queue's empty sentinel: an event there would
+    // be silently dropped, so scheduling it must fail loudly.
+    EXPECT_DEATH(sim.at(kCycleMax, [] {}), "cycle overflow");
+}
+
+TEST(SimulatorDeath, AfterReachingTheEmptySentinelCyclePanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    Simulator sim;
+    sim.after(10, [] {});
+    sim.run();
+    EXPECT_DEATH(sim.after(kCycleMax - 10, [] {}), "cycle overflow");
+    // One cycle short of the sentinel is still a legal target.
+    bool fired = false;
+    sim.after(kCycleMax - 11, [&] { fired = true; });
+    sim.run();
+    EXPECT_TRUE(fired);
+    EXPECT_EQ(sim.now(), kCycleMax - 1);
+}
+
 TEST(Simulator, EveryFiresAtEachInterval)
 {
     Simulator sim;

@@ -9,6 +9,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iomanip>
+#include <limits>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -236,6 +242,227 @@ TEST(LogHistogram, MergeIsOrderIndependentAndMatchesBulk)
     for (double p : {10.0, 50.0, 99.0}) {
         EXPECT_DOUBLE_EQ(ab.percentile(p), ba.percentile(p));
         EXPECT_DOUBLE_EQ(ab.percentile(p), bulk.percentile(p));
+    }
+}
+
+/**
+ * Reference: the ordered-map bucket store LogHistogram used before
+ * its dense window, with the same key function and side stats. The
+ * dense store must answer every query bit-identically.
+ */
+class MapLogHistogram
+{
+  public:
+    explicit MapLogHistogram(std::size_t sub) : sub_(sub) {}
+
+    void
+    add(double x)
+    {
+        if (count_ == 0) {
+            min_ = max_ = x;
+        } else {
+            min_ = std::min(min_, x);
+            max_ = std::max(max_, x);
+        }
+        ++count_;
+        sum_ += x;
+        if (!(x > 0.0)) {
+            ++zero_;
+            return;
+        }
+        int exp = 0;
+        const double mant = std::frexp(x, &exp);
+        auto idx = static_cast<std::int64_t>(
+            (mant - 0.5) * 2.0 * static_cast<double>(sub_));
+        idx = std::clamp<std::int64_t>(
+            idx, 0, static_cast<std::int64_t>(sub_) - 1);
+        ++buckets_[static_cast<std::int64_t>(exp) *
+                       static_cast<std::int64_t>(sub_) +
+                   idx];
+    }
+
+    void
+    merge(const MapLogHistogram &other)
+    {
+        if (other.count_ == 0)
+            return;
+        if (count_ == 0) {
+            min_ = other.min_;
+            max_ = other.max_;
+        } else {
+            min_ = std::min(min_, other.min_);
+            max_ = std::max(max_, other.max_);
+        }
+        count_ += other.count_;
+        sum_ += other.sum_;
+        zero_ += other.zero_;
+        for (const auto &[key, n] : other.buckets_)
+            buckets_[key] += n;
+    }
+
+    double
+    percentile(double p) const
+    {
+        if (count_ == 0)
+            return 0.0;
+        if (p <= 0.0)
+            return min_;
+        if (p >= 100.0)
+            return max_;
+        const double rank = p / 100.0 * static_cast<double>(count_ - 1);
+        const auto target = static_cast<std::uint64_t>(rank);
+        std::uint64_t cum = zero_;
+        if (target < cum)
+            return std::clamp(0.0, min_, max_);
+        for (const auto &[key, n] : buckets_) {
+            cum += n;
+            if (target < cum)
+                return std::clamp(mid(key), min_, max_);
+        }
+        return max_;
+    }
+
+    double mean() const { return count_ ? sum_ / count_ : 0.0; }
+    double min() const { return count_ ? min_ : 0.0; }
+    double max() const { return count_ ? max_ : 0.0; }
+    std::uint64_t count() const { return count_; }
+    double sum() const { return sum_; }
+
+    void
+    reset()
+    {
+        *this = MapLogHistogram(sub_);
+    }
+
+  private:
+    double
+    mid(std::int64_t key) const
+    {
+        const auto sub = static_cast<std::int64_t>(sub_);
+        std::int64_t exp = key / sub;
+        std::int64_t idx = key % sub;
+        if (idx < 0) {
+            idx += sub;
+            --exp;
+        }
+        const double mant =
+            0.5 + (static_cast<double>(idx) + 0.5) /
+                      (2.0 * static_cast<double>(sub_));
+        return std::ldexp(mant, static_cast<int>(exp));
+    }
+
+    std::size_t sub_;
+    std::map<std::int64_t, std::uint64_t> buckets_;
+    std::uint64_t zero_ = 0;
+    std::uint64_t count_ = 0;
+    double sum_ = 0.0;
+    double min_ = 0.0;
+    double max_ = 0.0;
+};
+
+/** Bitwise double equality (distinguishes -0.0 and +0.0). */
+::testing::AssertionResult
+sameBits(double a, double b)
+{
+    std::uint64_t ua = 0;
+    std::uint64_t ub = 0;
+    std::memcpy(&ua, &a, sizeof a);
+    std::memcpy(&ub, &b, sizeof b);
+    if (ua == ub)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << std::setprecision(17) << a << " vs " << b;
+}
+
+void
+expectSameAnswers(const LogHistogram &dense, const MapLogHistogram &ref,
+                  const char *what)
+{
+    EXPECT_EQ(dense.count(), ref.count()) << what;
+    EXPECT_TRUE(sameBits(dense.mean(), ref.mean())) << what;
+    EXPECT_TRUE(sameBits(dense.sum(), ref.sum())) << what;
+    EXPECT_TRUE(sameBits(dense.min(), ref.min())) << what;
+    EXPECT_TRUE(sameBits(dense.max(), ref.max())) << what;
+    for (double p : {-1.0, 0.0, 0.1, 1.0, 10.0, 25.0, 50.0, 75.0, 90.0,
+                     99.0, 99.9, 99.99, 100.0, 150.0})
+        EXPECT_TRUE(sameBits(dense.percentile(p), ref.percentile(p)))
+            << what << " p" << p;
+}
+
+TEST(LogHistogram, DenseBucketsAnswerLikeTheMapReference)
+{
+    const double kTiny = std::numeric_limits<double>::denorm_min();
+    const double kHuge = std::numeric_limits<double>::max();
+    const std::vector<std::vector<double>> sets = {
+        {},
+        {0.0},
+        {-3.0, -0.0, 0.0},
+        {kTiny, 1e-310, 2.2250738585072014e-308, 1e-300},
+        {kHuge, 1e300, 1e200},
+        {kTiny, kHuge, 0.0, -1.0, 1.0},
+        {5.0, 5.0, 5.0, 4.999999, 5.000001},
+    };
+    Rng rng(4242);
+    std::vector<double> spread;
+    for (int i = 0; i < 4000; ++i) {
+        // Latency-like bulk, plus zeros, negatives, tiny and huge
+        // outliers interleaved so the window grows both ways.
+        spread.push_back(rng.lognormal(300.0, 2.0));
+        if (i % 97 == 0)
+            spread.push_back(0.0);
+        if (i % 131 == 0)
+            spread.push_back(-rng.exponential(10.0));
+        if (i % 499 == 0)
+            spread.push_back(rng.exponential(1e-200));
+        if (i % 701 == 0)
+            spread.push_back(rng.exponential(1e250));
+    }
+    std::vector<std::vector<double>> all = sets;
+    all.push_back(spread);
+
+    for (std::size_t sub : {std::size_t{1}, std::size_t{7},
+                            std::size_t{64}}) {
+        for (std::size_t s = 0; s < all.size(); ++s) {
+            LogHistogram dense(sub);
+            MapLogHistogram ref(sub);
+            for (double x : all[s]) {
+                dense.add(x);
+                ref.add(x);
+            }
+            const std::string what = "sub " + std::to_string(sub) +
+                                     " set " + std::to_string(s);
+            expectSameAnswers(dense, ref, what.c_str());
+
+            // Merge into a histogram holding a disjoint window (and
+            // into an empty one), then reset and reuse.
+            LogHistogram dense2(sub);
+            MapLogHistogram ref2(sub);
+            for (double x : {1e-5, 3.0, 7e12}) {
+                dense2.add(x);
+                ref2.add(x);
+            }
+            dense2.merge(dense);
+            ref2.merge(ref);
+            expectSameAnswers(dense2, ref2, (what + " merged").c_str());
+            LogHistogram empty(sub);
+            MapLogHistogram emptyRef(sub);
+            empty.merge(dense2);
+            emptyRef.merge(ref2);
+            expectSameAnswers(empty, emptyRef,
+                              (what + " into empty").c_str());
+            dense.merge(LogHistogram(sub));
+            ref.merge(MapLogHistogram(sub));
+            expectSameAnswers(dense, ref, (what + " + empty").c_str());
+
+            dense.reset();
+            ref.reset();
+            expectSameAnswers(dense, ref, (what + " reset").c_str());
+            for (double x : {2.0, 0.5, 1e9}) {
+                dense.add(x);
+                ref.add(x);
+            }
+            expectSameAnswers(dense, ref, (what + " reused").c_str());
+        }
     }
 }
 
